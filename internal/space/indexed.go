@@ -1,37 +1,50 @@
 package space
 
-import "peats/internal/tuple"
+import (
+	"hash/maphash"
+
+	"peats/internal/tuple"
+)
 
 // IndexedStore is the production storage engine. Tuples are bucketed by
-// arity and, within an arity, hashed on the canonical key of their
-// first field, so the common template shapes — a defined tag field
-// followed by wildcards or formals, as used by every consensus object
-// and universal construction in this repository — match in O(bucket)
-// instead of O(space).
+// arity and, within an arity, indexed on every field position: one hash
+// index per position maps the seeded hash of a defined field value to
+// the records holding that value there. A template is matched against
+// the shortest index list among its defined positions, so tag-plus-key
+// shapes — <SEQ, pos, ?> and <ANN, idx, ?> of the universal
+// construction, <"kv", key, ?v> of a registry — match in O(key) even
+// when every resident tuple shares the tag, and a tag-only template
+// such as <PROPOSE, *, *> matches in O(tag bucket) instead of O(space).
+// A template with no defined field scans the whole arity bucket.
 //
 // Insertion order is preserved through the space-assigned sequence
 // numbers: each record carries the seq it was inserted with, and every
-// index list is append-only and therefore seq-sorted. A lookup scans
-// exactly one candidate list in seq order, so the first full match it
-// encounters is the first match in insertion order — the same tuple the
-// reference SliceStore returns. Key collisions only add skipped
-// candidates, never reordered ones, so the determinism contract of
-// Store holds and the space remains a deterministic state machine for
-// the BFT substrate.
+// index list is append-only and therefore seq-sorted. Every list a
+// template can select is a superset of its matches, and a lookup scans
+// exactly one of them in seq order, so the first full match it
+// encounters is the first match in insertion order — the same tuple
+// the reference SliceStore returns, whichever list was chosen. Hash
+// collisions only add skipped candidates, never reordered ones
+// (tuple.Matches decides every hit), and the indexes are per position,
+// so a record appears at most once in any list. The determinism
+// contract of Store therefore holds and the space remains a
+// deterministic state machine for the BFT substrate.
 //
 // Removal marks records dead in place (O(1)) and the store compacts
 // all index structures once at least half the records are dead, keeping
 // amortised cost per operation constant. Removal scans additionally
 // trim dead records from the head of the list they walked, so
 // queue-like workloads (out/in on one key) do not accumulate tombstones
-// in their hot list. Pure reads (Find with remove=false, FindAll,
-// Count, ForEach, Snapshot) never mutate anything — the Store
+// in their hot list; the other lists holding a removed record keep its
+// tombstone until compaction. Pure reads (Find with remove=false,
+// FindAll, Count, ForEach, Snapshot) never mutate anything — the Store
 // concurrency contract — so the sharded space can run them under
 // shared locks.
 type IndexedStore struct {
 	live    int
 	order   []*irec // global insertion (seq) order; may contain dead records
 	buckets map[int]*arityBucket
+	seed    maphash.Seed // hashes field values into the position indexes
 }
 
 // irec is one stored tuple plus its bookkeeping. The same record is
@@ -45,9 +58,12 @@ type irec struct {
 
 // arityBucket indexes the records of one arity.
 type arityBucket struct {
-	live  int
-	all   []*irec            // seq order; for templates with an undefined first field
-	byKey map[string][]*irec // first-field key → seq order
+	live int
+	all  []*irec // seq order; for templates with no defined field
+	// pos[i] maps the MatchHash of a defined value at field i to the
+	// records holding it there, in seq order. The maps are made with
+	// the bucket, so the read path never creates one.
+	pos []map[uint64][]*irec
 }
 
 var _ Store = (*IndexedStore)(nil)
@@ -58,7 +74,7 @@ const compactMin = 32
 
 // NewIndexedStore returns an empty indexed store.
 func NewIndexedStore() *IndexedStore {
-	return &IndexedStore{buckets: make(map[int]*arityBucket)}
+	return &IndexedStore{buckets: make(map[int]*arityBucket), seed: maphash.MakeSeed()}
 }
 
 // Engine implements Store.
@@ -96,41 +112,60 @@ func (s *IndexedStore) InsertBatch(ts []SeqTuple) {
 	s.live += len(ts)
 }
 
-// index files r into its arity bucket. Tuples whose first field is
-// undefined (non-entries installed by Restore) get no key entry; they
-// can never match a template, so keyed lookups may skip them.
+// index files r into its arity bucket and into the position index of
+// each of its defined fields. Undefined fields (of non-entries
+// installed by Restore) get no index entry: a non-entry can never match
+// a template, so keyed lookups may skip it.
 func (s *IndexedStore) index(r *irec) {
 	arity := r.t.Arity()
 	b := s.buckets[arity]
 	if b == nil {
-		b = &arityBucket{byKey: make(map[string][]*irec)}
+		b = &arityBucket{pos: make([]map[uint64][]*irec, arity)}
+		for i := range b.pos {
+			b.pos[i] = make(map[uint64][]*irec)
+		}
 		s.buckets[arity] = b
 	}
 	b.all = append(b.all, r)
-	if key, ok := r.t.Field(0).MatchKey(); ok {
-		b.byKey[key] = append(b.byKey[key], r)
+	for i, m := range b.pos {
+		if h, ok := r.t.Field(i).MatchHash(s.seed); ok {
+			m[h] = append(m[h], r)
+		}
 	}
 	b.live++
 }
 
-// candidates returns the one index list that holds every possible match
-// for tmpl, in seq order: the first-field key list when the template's
-// first field is defined, the whole arity bucket otherwise.
-func (s *IndexedStore) candidates(tmpl tuple.Tuple) (b *arityBucket, list []*irec, key string, keyed bool) {
+// candidates returns the one index list to scan for tmpl: the shortest
+// of the arity bucket and the position lists of the template's defined
+// fields (empty at once if any of them holds no record). pos is the
+// position of the chosen list and h its hash, or pos = -1 for the
+// bucket list.
+func (s *IndexedStore) candidates(tmpl tuple.Tuple) (b *arityBucket, list []*irec, pos int, h uint64) {
 	b = s.buckets[tmpl.Arity()]
 	if b == nil || b.live == 0 {
-		return nil, nil, "", false
+		return nil, nil, -1, 0
 	}
-	if key, ok := tmpl.Field(0).MatchKey(); ok {
-		return b, b.byKey[key], key, true
+	list, pos = b.all, -1
+	for i, m := range b.pos {
+		hi, ok := tmpl.Field(i).MatchHash(s.seed)
+		if !ok {
+			continue
+		}
+		l := m[hi]
+		if len(l) == 0 {
+			return b, nil, i, hi
+		}
+		if len(l) < len(list) {
+			list, pos, h = l, i, hi
+		}
 	}
-	return b, b.all, "", false
+	return b, list, pos, h
 }
 
 // Find implements Store. The remove=false path is a pure scan — no
 // trimming, no compaction — per the Store concurrency contract.
 func (s *IndexedStore) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64, bool) {
-	b, list, key, keyed := s.candidates(tmpl)
+	b, list, pos, h := s.candidates(tmpl)
 	if b == nil {
 		return tuple.Tuple{}, 0, false
 	}
@@ -143,14 +178,13 @@ func (s *IndexedStore) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64,
 		return tuple.Tuple{}, 0, false
 	}
 	kept, t, seq, ok := s.remove(list, tmpl)
-	if keyed {
-		if len(kept) == 0 {
-			delete(b.byKey, key)
-		} else {
-			b.byKey[key] = kept
-		}
-	} else {
+	switch {
+	case pos < 0:
 		b.all = kept
+	case len(kept) == 0:
+		delete(b.pos[pos], h)
+	default:
+		b.pos[pos][h] = kept
 	}
 	if ok {
 		s.maybeCompact()

@@ -16,8 +16,9 @@ const (
 	// baseline the indexed engine is property-tested against.
 	EngineSlice Engine = "slice"
 	// EngineIndexed is the production store: tuples bucketed by arity and
-	// hashed on their first field, with insertion order preserved through
-	// the space-assigned sequence numbers.
+	// hashed on every field position, each template matched against the
+	// shortest index list among its defined fields, with insertion order
+	// preserved through the space-assigned sequence numbers.
 	EngineIndexed Engine = "indexed"
 	// EngineDurable is the persistent store: an indexed store wrapped by
 	// the write-ahead log of package durable, which persists every

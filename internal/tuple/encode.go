@@ -41,14 +41,11 @@ func AppendField(dst []byte, f Field) []byte {
 		switch f.kind {
 		case KindInt:
 			dst = binary.AppendUvarint(dst, zigzag(f.i))
-		case KindString:
+		case KindString, KindBytes:
 			dst = binary.AppendUvarint(dst, uint64(len(f.s)))
 			dst = append(dst, f.s...)
 		case KindBool:
 			dst = append(dst, byte(f.i))
-		case KindBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(f.b)))
-			dst = append(dst, f.b...)
 		}
 	}
 	return dst
@@ -116,7 +113,7 @@ func DecodeField(b []byte) (Field, int, error) {
 			if err != nil {
 				return Field{}, 0, err
 			}
-			return Field{mode: modeValue, kind: KindBytes, b: []byte(s)}, n + m, nil
+			return Field{mode: modeValue, kind: KindBytes, s: s}, n + m, nil
 		default:
 			return Field{}, 0, fmt.Errorf("%w: unknown kind %d", ErrBadEncoding, kind)
 		}

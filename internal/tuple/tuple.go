@@ -13,6 +13,7 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -65,8 +66,7 @@ type Field struct {
 	mode fieldMode
 	kind Kind
 	i    int64
-	s    string // string value, or formal-field variable name
-	b    []byte
+	s    string // string or bytes value, or formal-field variable name
 }
 
 // Int returns a defined int64 field.
@@ -87,9 +87,7 @@ func Bool(v bool) Field {
 // Bytes returns a defined byte-slice field. The slice is copied so later
 // mutation by the caller cannot alter tuples already stored in a space.
 func Bytes(v []byte) Field {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Field{mode: modeValue, kind: KindBytes, b: cp}
+	return Field{mode: modeValue, kind: KindBytes, s: string(v)}
 }
 
 // Any returns the wildcard field "*", matching any defined value.
@@ -158,9 +156,7 @@ func (f Field) BytesValue() ([]byte, bool) {
 	if f.mode != modeValue || f.kind != KindBytes {
 		return nil, false
 	}
-	cp := make([]byte, len(f.b))
-	copy(cp, f.b)
-	return cp, true
+	return []byte(f.s), true
 }
 
 // Equal reports whether two fields are identical: same mode, and for
@@ -181,10 +177,8 @@ func (f Field) Equal(g Field) bool {
 		switch f.kind {
 		case KindInt, KindBool:
 			return f.i == g.i
-		case KindString:
+		case KindString, KindBytes:
 			return f.s == g.s
-		case KindBytes:
-			return string(f.b) == string(g.b)
 		}
 	}
 	return false
@@ -207,7 +201,7 @@ func (f Field) String() string {
 		case KindBool:
 			return strconv.FormatBool(f.i != 0)
 		case KindBytes:
-			return fmt.Sprintf("0x%x", f.b)
+			return fmt.Sprintf("0x%x", f.s)
 		}
 	}
 	return "<invalid>"
@@ -227,12 +221,28 @@ func (f Field) MatchKey() (string, bool) {
 		buf[0] = byte(f.kind)
 		binary.BigEndian.PutUint64(buf[1:], uint64(f.i))
 		return string(buf[:]), true
-	case KindString:
+	case KindString, KindBytes:
 		return string([]byte{byte(f.kind)}) + f.s, true
-	case KindBytes:
-		return string([]byte{byte(f.kind)}) + string(f.b), true
 	}
 	return "", false
+}
+
+// MatchHash returns a seeded 64-bit hash of a defined field value,
+// without allocating: Equal defined fields hash equally under the same
+// seed, so the hash can index buckets whose every hit is still decided
+// by Match — a collision only adds a skipped candidate. It returns
+// ok=false for wildcard and formal fields, which have no value to hash.
+func (f Field) MatchHash(seed maphash.Seed) (uint64, bool) {
+	if f.mode != modeValue {
+		return 0, false
+	}
+	switch f.kind {
+	case KindInt, KindBool:
+		return maphash.Comparable(seed, f.i) ^ uint64(f.kind), true
+	case KindString, KindBytes:
+		return maphash.String(seed, f.s) ^ uint64(f.kind), true
+	}
+	return 0, false
 }
 
 // BitSize returns the number of bits of payload the field occupies,
@@ -257,10 +267,8 @@ func (f Field) BitSize() int {
 			v >>= 1
 		}
 		return bits
-	case KindString:
+	case KindString, KindBytes:
 		return 8 * len(f.s)
-	case KindBytes:
-		return 8 * len(f.b)
 	}
 	return 0
 }
@@ -360,31 +368,36 @@ type Bindings map[string]Field
 // The returned Bindings holds one entry per formal field of t (nil when
 // t has none). Match returns false if e is not an entry.
 func Match(e, t Tuple) (Bindings, bool) {
-	if !e.IsEntry() || len(e.fields) != len(t.fields) {
+	if !Matches(e, t) {
 		return nil, false
 	}
 	var binds Bindings
 	for i, tf := range t.fields {
-		ef := e.fields[i]
-		switch {
-		case tf.IsWildcard():
-			// any value matches
-		case tf.IsFormal():
+		if tf.IsFormal() {
 			if binds == nil {
 				binds = make(Bindings)
 			}
-			binds[tf.s] = ef
-		default:
-			if !tf.Equal(ef) {
-				return nil, false
-			}
+			binds[tf.s] = e.fields[i]
 		}
 	}
 	return binds, true
 }
 
-// Matches reports whether entry e matches template t, discarding bindings.
+// Matches reports whether entry e matches template t, the predicate
+// of Match without building Bindings, so it never allocates — the form
+// every store scan uses.
 func Matches(e, t Tuple) bool {
-	_, ok := Match(e, t)
-	return ok
+	if len(e.fields) == 0 || len(e.fields) != len(t.fields) {
+		return false
+	}
+	for i, tf := range t.fields {
+		ef := e.fields[i]
+		if ef.mode != modeValue {
+			return false
+		}
+		if tf.mode != modeWildcard && tf.mode != modeFormal && !tf.Equal(ef) {
+			return false
+		}
+	}
+	return true
 }

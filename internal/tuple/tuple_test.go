@@ -1,9 +1,11 @@
 package tuple
 
 import (
+	"hash/maphash"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFieldConstructorsAndAccessors(t *testing.T) {
@@ -330,5 +332,60 @@ func TestMatchIsDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestMatchesAllocatesNothing(t *testing.T) {
+	e := T(Str("kv"), Str("key-17"), Bytes([]byte("value")))
+	tmpl := T(Str("kv"), Str("key-17"), Formal("v"))
+	if n := testing.AllocsPerRun(100, func() {
+		if !Matches(e, tmpl) {
+			t.Fatal("no match")
+		}
+	}); n != 0 {
+		t.Errorf("Matches allocates %.0f times per call, want 0", n)
+	}
+}
+
+func TestMatchHash(t *testing.T) {
+	seed := maphash.MakeSeed()
+	for _, f := range []Field{Int(1), Bool(true), Str("1"), Bytes([]byte("1")), Any(), Formal("v"), {}} {
+		if _, ok := f.MatchHash(seed); ok != f.IsValue() {
+			t.Errorf("MatchHash(%v) ok = %v, want %v", f, ok, f.IsValue())
+		}
+	}
+	// Equal fields built apart hash equally; the kind is part of the
+	// hash, so the string and the bytes "x" land apart.
+	for _, pair := range [][2]Field{
+		{Int(7), Int(7)},
+		{Bool(true), Bool(true)},
+		{Str("x"), Str(string([]byte{'x'}))},
+		{Bytes([]byte("x")), Bytes([]byte("x"))},
+	} {
+		h0, _ := pair[0].MatchHash(seed)
+		h1, _ := pair[1].MatchHash(seed)
+		if h0 != h1 {
+			t.Errorf("equal fields %v hash to %x and %x", pair[0], h0, h1)
+		}
+	}
+	hs, _ := Str("x").MatchHash(seed)
+	hb, _ := Bytes([]byte("x")).MatchHash(seed)
+	if hs == hb {
+		t.Errorf("string and bytes \"x\" share hash %x", hs)
+	}
+	f := Str("key-17")
+	if n := testing.AllocsPerRun(100, func() { f.MatchHash(seed) }); n != 0 {
+		t.Errorf("MatchHash allocates %.0f times per call, want 0", n)
+	}
+}
+
+func TestFieldSize(t *testing.T) {
+	// Stored tuples are slices of Field, so its size is the per-field
+	// memory cost of every resident tuple.
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Field{}); got != 32 {
+		t.Errorf("Field is %d bytes, want 32", got)
 	}
 }
