@@ -316,8 +316,9 @@ type Reply struct {
 	// Attest, when present, is the replica's signature over
 	// wire.AttestPayload(Group, Result): transferable evidence, beyond
 	// the pairwise channel MAC, that this replica reported this agreed
-	// result. Replies to partition 2PC operations carry it so clients
-	// can assemble vote certificates. It is deliberately outside Result
+	// result. Replies to partition prepares and status queries carry it
+	// so clients can assemble vote certificates; decision replies do
+	// not. It is deliberately outside Result
 	// — clients vote on result bytes, and per-replica signatures must
 	// not split the vote.
 	Attest []byte

@@ -1,6 +1,7 @@
 package bft
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -34,13 +35,18 @@ import (
 // observationally identical to a single-group one.
 //
 // A decision is honoured only with a valid justification: COMMIT needs
-// vote certificates (2f+1 replica attestations over the agreed vote
-// bytes) proving a YES from every participant the group's own agreed
-// prepare named; ABORT needs a certificate proving some such
-// participant voted NO or is pinned aborted. All-YES makes abort
-// evidence unobtainable and any-NO makes commit evidence unobtainable,
-// so conflicting decisions from a Byzantine coordinator cannot diverge
-// outcomes across groups.
+// a vote certificate proving a YES from every participant the group's
+// own agreed prepare named; ABORT needs a certificate proving some such
+// participant voted NO or is pinned aborted. A remote group's
+// certificate must carry 2f+1 of its replicas' attestations over the
+// agreed vote bytes; the group's own certificate is checked against
+// its replicated state instead (its outcome must equal the stored vote
+// byte for byte), since the pending table already proves what the
+// signatures would. Only prepare and status replies are signed:
+// decision replies are never assembled into certificates. All-YES
+// makes abort evidence unobtainable and any-NO makes commit evidence
+// unobtainable, so conflicting decisions from a Byzantine coordinator
+// cannot diverge outcomes across groups.
 
 // GroupKeys is one group's verification material in the deployment
 // topology: its fault bound and its replicas' attestation public keys.
@@ -437,7 +443,7 @@ func (s *SpaceService) executeDecision(op []byte) []byte {
 			// certificate can name this group; refuse deterministically.
 			return partitionErr("commit for a transaction this group never prepared")
 		}
-		if !s.validCommit(d, res.parts) {
+		if !s.validCommit(d, res) {
 			return res.outcome // unjustified: still prepared
 		}
 		s.applyReservation(d.TxID, res)
@@ -584,36 +590,45 @@ func (s *SpaceService) rebindEqual(tx *space.Tx, committed []space.SeqTuple) {
 	// The staged view is dropped: re-binding consumed nothing.
 }
 
-// validCommit reports whether d carries, for every participant of this
-// group's agreed prepare, a verified certificate of a YES vote (or an
-// already-committed state) naming exactly the same participant set.
-// Requiring the identical set defeats a coordinator that tells
-// different groups different participant lists: the vote bytes pin the
-// set each group agreed to, so mismatched views can never both reach a
-// justified commit.
-func (s *SpaceService) validCommit(d wire.TxDecision, parts []string) bool {
-	for _, g := range parts {
-		ok := false
-		for _, c := range d.Certs {
-			if c.Group != g {
-				continue
-			}
-			o, err := wire.DecodeTxOutcome(c.Outcome)
-			if err != nil || o.TxID != d.TxID {
-				continue
-			}
-			if o.State != wire.TxVoteYes && o.State != wire.TxCommitted {
-				continue
-			}
-			if !equalStrings(o.Participants, parts) {
-				continue
-			}
-			if s.certSigned(c) {
-				ok = true
-				break
-			}
-		}
+// validCommit reports whether d justifies committing res: for every
+// participant of this group's agreed prepare it must carry a
+// certificate of a YES vote (or an already-committed state) naming
+// exactly the same participant set. Requiring the identical set
+// defeats a coordinator that tells different groups different
+// participant lists: the vote bytes pin the set each group agreed to,
+// so mismatched views can never both reach a justified commit.
+//
+// A certificate proves "group g's agreement produced these vote
+// bytes". For g = this group that fact is already replicated state:
+// res.outcome is the exact reply this group's agreed prepare returned,
+// identical on every correct replica (snapshots and deltas carry it
+// verbatim). So the own-group certificate is checked by comparing its
+// outcome bytes with res.outcome, not by verifying its signatures — a
+// pure function of agreed state and the decision, hence deterministic
+// across the group, and no weaker: any correctly signed own-group YES
+// certificate carries these very bytes, and any other bytes are not
+// this group's vote. Remote groups' votes are known here only through
+// their signatures, so their certificates keep the full 2f+1 check.
+func (s *SpaceService) validCommit(d wire.TxDecision, res *pendingRes) bool {
+	for _, g := range res.parts {
+		c, ok := certFor(d.Certs, g)
 		if !ok {
+			return false
+		}
+		if g == s.ptx.group {
+			if !bytes.Equal(c.Outcome, res.outcome) {
+				return false
+			}
+			continue
+		}
+		o, err := wire.DecodeTxOutcome(c.Outcome)
+		if err != nil || o.TxID != d.TxID {
+			return false
+		}
+		if o.State != wire.TxVoteYes && o.State != wire.TxCommitted {
+			return false
+		}
+		if !equalStrings(o.Participants, res.parts) || !s.certSigned(c) {
 			return false
 		}
 	}
@@ -626,17 +641,16 @@ func (s *SpaceService) validCommit(d wire.TxDecision, parts []string) bool {
 // are ignored: any stranger group can be pinned aborted by a status
 // probe, and accepting its word would let a Byzantine coordinator
 // abort a fully-prepared transaction at some groups while committing
-// it at others.
+// it at others. Own-group certificates are ignored unverified: this
+// group's agreed state is a pending YES, so with at most f faulty
+// replicas no valid certificate of a NO or aborted state of it exists.
 func (s *SpaceService) validAbort(d wire.TxDecision, parts []string) bool {
-	for _, c := range d.Certs {
-		in := false
-		for _, g := range parts {
-			if c.Group == g {
-				in = true
-				break
-			}
+	for _, g := range parts {
+		if g == s.ptx.group {
+			continue
 		}
-		if !in {
+		c, ok := certFor(d.Certs, g)
+		if !ok {
 			continue
 		}
 		o, err := wire.DecodeTxOutcome(c.Outcome)
@@ -653,34 +667,60 @@ func (s *SpaceService) validAbort(d wire.TxDecision, parts []string) bool {
 	return false
 }
 
+// certFor returns the first certificate d's list carries for group g.
+// Only that one is examined: honest coordinators and Recover send
+// exactly one per participant, and examining every copy would let one
+// decision buy a signature check per certificate it carries.
+func certFor(certs []wire.VoteCert, g string) (wire.VoteCert, bool) {
+	for _, c := range certs {
+		if c.Group == g {
+			return c, true
+		}
+	}
+	return wire.VoteCert{}, false
+}
+
+// verifySig is the signature check certSigned runs; tests swap it to
+// count verifications.
+var verifySig = ed25519.Verify
+
 // certSigned verifies a certificate's attestations against the
 // directory: 2f+1 distinct replicas of the named group must have
 // signed the outcome bytes. With at most f Byzantine replicas per
 // group, a verified certificate proves the group's agreement produced
 // these bytes.
+//
+// The work is bounded by the group's size, not by the certificate's
+// length: attestations by replicas outside the group are skipped
+// unverified, each replica is tried at most once (marked before its
+// signature is checked, so repeating one replica with wrong signatures
+// buys nothing), and checking stops at the quorum.
 func (s *SpaceService) certSigned(c wire.VoteCert) bool {
 	gk, ok := s.ptx.dir[c.Group]
 	if !ok {
 		return false
 	}
+	need := 2*gk.F + 1
 	payload := wire.AttestPayload(c.Group, c.Outcome)
-	seen := make(map[string]struct{}, len(c.Atts))
+	tried := make(map[string]struct{}, len(gk.Keys))
 	valid := 0
 	for _, a := range c.Atts {
-		if _, dup := seen[a.Replica]; dup {
-			continue
-		}
 		pub, ok := gk.Keys[a.Replica]
-		if !ok || len(a.Sig) != ed25519.SignatureSize {
+		if !ok {
 			continue
 		}
-		if !ed25519.Verify(pub, payload, a.Sig) {
+		if _, dup := tried[a.Replica]; dup {
 			continue
 		}
-		seen[a.Replica] = struct{}{}
-		valid++
+		tried[a.Replica] = struct{}{}
+		if len(a.Sig) != ed25519.SignatureSize || !verifySig(pub, payload, a.Sig) {
+			continue
+		}
+		if valid++; valid >= need {
+			return true
+		}
 	}
-	return valid >= 2*gk.F+1
+	return false
 }
 
 // ---- Snapshot integration ----

@@ -77,11 +77,11 @@ type ReplicaConfig struct {
 	// an empty group are accepted for single-group compatibility).
 	Group string
 	// AttestKey, when set, lets the replica sign agreed results of
-	// partition 2PC operations (wire.AttestPayload over Group and the
-	// result bytes). Clients assemble 2f+1 such signatures into vote
-	// certificates that other groups verify against the deployment
-	// topology — the mechanism that makes cross-partition decisions
-	// safe under an untrusted coordinator.
+	// partition prepares and status queries (wire.AttestPayload over
+	// Group and the result bytes). Clients assemble 2f+1 such
+	// signatures into vote certificates that other groups verify
+	// against the deployment topology — the mechanism that makes
+	// cross-partition decisions safe under an untrusted coordinator.
 	AttestKey ed25519.PrivateKey
 	// Keyring optionally holds the pairwise keys this replica shares
 	// with clients. When set, the replica can vouch for a request it
@@ -393,13 +393,16 @@ func (r *Replica) misrouted(req Request) bool {
 	return req.Group != "" && req.Group != r.cfg.Group
 }
 
-// attest signs the agreed result of a partition 2PC operation with the
-// replica's attestation key; it returns nil for every other request.
-// Only committed results are ever attested — a tentative result is not
-// yet this group's agreed word (and 2PC operations are excluded from
-// tentative execution anyway).
+// attest signs the agreed result of a partition prepare or status
+// query with the replica's attestation key; it returns nil for every
+// other request. Those two are the replies clients assemble into vote
+// certificates (InvokeCert). Decision replies are only read for the
+// resulting state, so signing them would cost a signature per replica
+// per decision that nothing verifies. Only committed results are ever
+// attested — a tentative result is not yet this group's agreed word
+// (and 2PC operations are excluded from tentative execution anyway).
 func (r *Replica) attest(op, result []byte) []byte {
-	if r.cfg.AttestKey == nil || !wire.IsPartitionOp(op) {
+	if r.cfg.AttestKey == nil || !(wire.IsTxPrepare(op) || wire.IsTxStatus(op)) {
 		return nil
 	}
 	return ed25519.Sign(r.cfg.AttestKey, wire.AttestPayload(r.cfg.Group, result))

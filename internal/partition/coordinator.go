@@ -21,13 +21,18 @@ import (
 //     against its own state; a YES parks the group's slice of effects
 //     as a reservation, invisible to every other operation.
 //   - The coordinator can only *transport* decisions, not invent them:
-//     a group applies COMMIT only with vote certificates (2f+1 replica
-//     attestations over the agreed vote bytes) proving every
+//     a group applies COMMIT only with vote certificates proving every
 //     participant voted YES on the same participant set, and ABORT
 //     only with a certificate proving some participant voted NO or is
-//     pinned aborted. Conflicting decisions sent to different groups
-//     cannot both carry valid justification, so outcomes never
-//     diverge.
+//     pinned aborted. A remote group's certificate needs 2f+1 of its
+//     replicas' attestations over the agreed vote bytes; a group checks
+//     its own certificate against its replicated vote record instead
+//     (the bytes must match exactly). Conflicting decisions sent to
+//     different groups cannot both carry valid justification, so
+//     outcomes never diverge.
+//   - Only prepare and status replies are signed (InvokeCert); decision
+//     replies carry no attestation, as decide reads only the resulting
+//     state.
 //   - A coordinator that crashes mid-protocol leaves transactions
 //     prepared; any party can finish them with Recover, which queries
 //     the participants' agreed records (pinning still-unknown

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -111,17 +110,12 @@ func (h *harness) startReplica(nd *node) error {
 	if err != nil {
 		return err
 	}
-	var lg *log.Logger
-	if simDebug {
-		lg = log.New(os.Stderr, nd.id+" ", 0)
-	}
 	rep, err := bft.NewReplica(bft.ReplicaConfig{
 		ID:        nd.id,
 		Replicas:  h.replicaIDs(),
 		F:         1,
 		Transport: h.net.Endpoint(nd.id),
 		Service:   svc,
-		Logger:    lg,
 		// Small checkpoint interval so state transfer and checkpoint
 		// agreement are exercised within a short horizon. CompactEvery 1
 		// makes every checkpoint a full-state digest — a pure function of
@@ -347,21 +341,6 @@ func runSingle(sched Schedule) Result {
 		}
 		if loop.Now().After(deadline) {
 			h.fail("no convergence within %v past the horizon (liveness)", grace)
-			if simDebug {
-				for _, nd := range h.nodes {
-					if nd.down {
-						println("DBG", nd.id, "down")
-						continue
-					}
-					d := nd.rep.StateDigest()
-					println("DBG", nd.id, "view", int(nd.rep.View()), "executed", int(nd.rep.Executed()),
-						"tentative", nd.svc.TentativeDepth(), "digest", fmt.Sprintf("%x", d[:4]))
-				}
-				for _, w := range loads {
-					println("DBG client", w.c.id, "next", w.next, "idle", w.c.idle(), "acked", len(w.c.Acked))
-				}
-				println("DBG prober idle", prober.idle(), "probes", probes)
-			}
 			break
 		}
 		if prober.idle() {

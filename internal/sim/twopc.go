@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"log"
-	"os"
-
 	"peats/internal/auth"
 
 	"peats/internal/bft"
@@ -30,8 +27,6 @@ import (
 // simAttestMaster seeds the deterministic attestation keys of the
 // simulated deployment (bft.AttestKeyFor).
 var simAttestMaster = []byte("peats-sim-attest-master")
-
-var simDebug = false
 
 // simTx is one scripted cross-group transaction: an optional inp on a
 // g0-owned tuple (either a previous transaction's out — present iff
@@ -110,7 +105,6 @@ func (co *coordinator) tx() *simTx { return co.txs[co.k] }
 
 // start launches transaction k's prepares (or finishes the run).
 func (co *coordinator) start() {
-	if simDebug { println("start tx", co.k) }
 	if co.k >= len(co.txs) {
 		co.done = true
 		return
@@ -139,7 +133,6 @@ func (co *coordinator) onVote(gi int, result []byte, cert wire.VoteCert) {
 		co.fail("tx %s: group g%d returned a malformed prepare outcome", co.tx().id, gi)
 		return
 	}
-	if simDebug { println("vote", gi, "state", int(o.State), "tx", co.k) }
 	co.votes[gi], co.certs[gi] = o, cert
 	co.gotVotes++
 	if co.gotVotes < 2 {
@@ -184,7 +177,6 @@ func (co *coordinator) deliverTo(cl *client, gi int, dec wire.TxDecision, commit
 				tx.id, gi, o.State, want)
 			return
 		}
-		if simDebug { println("decision ok", gi, "tx", co.k) }
 		then(gi)
 	}
 	cl.submit(wire.EncodeTxDecision(dec))
@@ -215,7 +207,6 @@ func (co *coordinator) decide(through [2]*client, dec wire.TxDecision, commit bo
 // semantics): status-probe every participant — pinning the transaction
 // aborted where unknown — and deliver the unique justified decision.
 func (co *coordinator) recover() {
-	if simDebug { println("recover tx", co.k) }
 	tx := co.tx()
 	statusOp := wire.EncodeTxStatus(wire.TxStatus{TxID: tx.id})
 	got := 0
@@ -296,12 +287,7 @@ func runTwoPC(sched Schedule) Result {
 		for _, id := range g.ids {
 			svc := bft.NewSpaceService(policy.AllowAll())
 			svc.EnablePartition(g.id, dir)
-			var lg *log.Logger
-			if simDebug {
-				lg = log.New(os.Stderr, "", 0)
-			}
 			rep, rerr := bft.NewReplica(bft.ReplicaConfig{
-				Logger:                lg,
 				ID:                    id,
 				Replicas:              g.ids,
 				F:                     1,
@@ -396,15 +382,6 @@ func runTwoPC(sched Schedule) Result {
 			break
 		}
 		if loop.Now().After(deadline) {
-			if simDebug {
-				for gi, g := range groups {
-					for i, rep := range g.reps {
-						println("g", gi, "r", i, "view", int(rep.View()), "executed", int(rep.Executed()))
-					}
-					println("g", gi, "converged", g.converged())
-				}
-				println("done", co.done, "rc0 idle", co.rc[0].idle(), "rc1 idle", co.rc[1].idle())
-			}
 			fail("2pc run not done within %v past the horizon (liveness, %d/%d txs decided)",
 				grace, co.k, len(txs))
 			break
